@@ -1,13 +1,15 @@
 // M2 — engine scaling sweep (batch vs event-driven slotwise vs dense).
 //
-// Sweeps fleet size n and phase length (slots) across the three channel
-// engines under sparse, protocol-like activity (O(1) expected events per
-// node per phase), with and without imperfect CCA and an active fault
-// plan.  The point: the batch engine and the rewritten slotwise engine are
-// O(slots + events), the dense reference is O(slots * nodes), so the
-// event-driven paths sustain orders of magnitude more simulated slots per
-// second at scale — this bench pins the number (the ISSUE-2 acceptance bar
-// is >= 5x slotwise-event over dense at n=1024, slots=2^20).
+// Sweeps fleet size n and phase length (slots) across the batch engine and
+// the slotwise engine pair (event path and dense reference, at one channel
+// for the slotwise_* rows) under sparse, protocol-like activity (O(1)
+// expected events per node per phase), with and without imperfect CCA and
+// an active fault plan.  The point: the batch engine and the event-driven
+// slotwise engine are O(slots + events), the dense reference is
+// O(slots * nodes), so the event-driven paths sustain orders of magnitude
+// more simulated slots per second at scale — this bench pins the number
+// (the acceptance bar is >= 5x slotwise-event over dense at n=1024,
+// slots=2^20).
 //
 // Emits BENCH_m2.json (bench_util.hpp schema) for tools/bench_compare.
 // Default grid runs in tens of seconds; --full expands to n=4096 and
@@ -33,30 +35,32 @@
 #include "rcb/sim/channel_plan.hpp"
 #include "rcb/sim/mc_slot_engine.hpp"
 #include "rcb/sim/repetition_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
 
 /// Jams iff the previous slot carried a transmission — a representative
-/// reactive strategy with a 1-slot lookback window.
-class Reactive final : public SlotAdversary {
+/// reactive strategy with a 1-slot lookback window, on one channel.
+class Reactive final : public McSlotAdversary {
  public:
-  bool jam(SlotIndex, std::span<const SlotActivity> history) override {
-    return !history.empty() && history.back().senders > 0;
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    return !history.empty() && history.back().senders > 0 ? 1 : 0;
   }
-  bool jam_run(SlotIndex begin, SlotIndex end,
-               std::span<const SlotActivity> history,
-               JamRunSink& sink) override {
+  bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
+                     std::span<const McSlotActivity> history,
+                     McJamRunSink& sink) override {
     // Only the run's first slot can see a transmission in its lookback;
     // every later slot looks back at a silent run slot.
     const bool first = !history.empty() && history.back().senders > 0;
-    sink.append(1, first);
-    sink.append(end - begin - 1, false);
+    sink.append(1, first ? 1 : 0);
+    sink.append(end - begin - 1, 0);
     return true;
   }
   SlotCount history_window() const override { return 1; }
 };
+
+const ChannelPlan kOneChannel{1, {}};
 
 /// Sparse protocol-like activity: ~2 sends and ~2 listens expected per node
 /// per phase, independent of phase length.
@@ -191,8 +195,8 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
           const auto m = measure(
               [&](int rep) {
                 Rng rng = Rng::stream(seed, cell * 1000 + rep);
-                const auto r = run_repetition_slotwise(
-                    slots, actions, adversary, rng, v.cca,
+                const auto r = run_repetition_slotwise_mc(
+                    slots, actions, kOneChannel, adversary, rng, v.cca,
                     v.faults ? &faults : nullptr);
                 return r.event_count;
               },
@@ -215,8 +219,9 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
           const auto m = measure(
               [&](int rep) {
                 Rng rng = Rng::stream(seed, cell * 1000 + rep);
-                const auto r = run_repetition_slotwise_dense(
-                    slots, actions, adversary, rng, v.cca, nullptr);
+                const auto r = run_repetition_slotwise_mc_dense(
+                    slots, actions, kOneChannel, adversary, rng, v.cca,
+                    nullptr);
                 return r.event_count;
               },
               0.1, 4, slots);
@@ -233,9 +238,8 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
   // with random hop sequences and a sweeping jammer, for C = 1/2/4/64.
   // Eventless runs are answered in bulk via jam_run_masks, so throughput
   // should be near-flat in C under sparse activity (C=64 pins the full-mask
-  // group-resolution bound); C=1 doubles as a live measurement of the
-  // degeneration path's overhead vs the single-channel slotwise_event rows
-  // above.  The mc event-vs-dense speedup at C=1 is emitted as
+  // group-resolution bound).  The mc event-vs-dense speedup at C=1 (with
+  // the sweeping jammer, unlike the reactive slotwise_* rows) is emitted as
   // m2/channels/speedup for the bench_compare hard gate.
   {
     const auto actions = sparse_actions(accept_n, accept_slots);

@@ -13,6 +13,7 @@
 #include "rcb/adversary/slot_adversary.hpp"
 #include "rcb/common/types.hpp"
 #include "rcb/rng/sampling.hpp"
+#include "rcb/sim/cca.hpp"
 #include "rcb/sim/channel_plan.hpp"
 #include "rcb/sim/engine_workspace.hpp"
 #include "rcb/sim/faults.hpp"
@@ -26,16 +27,11 @@ std::size_t count_keys_below(const std::uint64_t* keys, std::size_t count,
                              std::uint64_t bound);
 
 /// Writes `len` zero-sender history records with consecutive slots
-/// [first_slot, first_slot + len) and one jam decision into `dst`.
-void fill_history_records(SlotActivity* dst, SlotIndex first_slot,
-                          SlotCount len, bool jammed);
-
-/// Multi-channel variant: `len` zero-sender McSlotActivity records with
-/// consecutive slots and one jam mask.
+/// [first_slot, first_slot + len) and one jam mask into `dst`.
 void fill_mc_history_records(McSlotActivity* dst, SlotIndex first_slot,
                              SlotCount len, std::uint64_t jam_mask);
 
-/// Bounded-window history compaction shared by both slotwise engines:
+/// Bounded-window history compaction of the slotwise event engine:
 /// append one record, and once the buffer holds twice the window, drop
 /// everything but the trailing `window` records.  The 2x watermark keeps
 /// the erase_prefix memmove amortized O(1) per push while history_view()
@@ -47,6 +43,64 @@ inline void push_history_compacted(ArenaVector<Record>& history,
   history.push_back(rec);
   if (bounded && history.size() >= 2 * static_cast<std::size_t>(window)) {
     history.erase_prefix(history.size() - static_cast<std::size_t>(window));
+  }
+}
+
+/// Delivers one slot's reception to a listener `u` on one channel, the
+/// reception rules every engine shares.  The ideal reception follows from
+/// the channel's sender count, its single sender's payload and the jam bit:
+/// jammed or >= 2 senders => noise, no sender => clear, else the payload.
+/// Then, in order: imperfect CCA, payload loss for a clock-skewed listener
+/// (it samples off the slot grid, so it detects energy but decodes
+/// nothing), and the fault plan's per-reception degradation.  The result is
+/// tallied into `o`; the caller has already charged the listen.
+inline void hear(NodeObservation& o, NodeId u, SlotIndex slot,
+                 std::uint32_t sender_count, Payload single_payload,
+                 bool jammed, const CcaModel& cca, FaultPlan* faults,
+                 Rng& rng) {
+  Reception heard;
+  if (jammed || sender_count > 1) {
+    heard = Reception::kNoise;
+  } else if (sender_count == 0) {
+    heard = Reception::kClear;
+  } else {
+    switch (single_payload) {
+      case Payload::kMessage:
+        heard = Reception::kMessage;
+        break;
+      case Payload::kNack:
+        heard = Reception::kNack;
+        break;
+      default:
+        heard = Reception::kNoise;
+        break;
+    }
+  }
+  if (!cca.perfect()) heard = cca.apply(heard, rng);
+  if (faults != nullptr) {
+    if (faults->node_skewed(u) &&
+        (heard == Reception::kMessage || heard == Reception::kNack)) {
+      heard = Reception::kNoise;
+    }
+    heard = faults->degrade(heard, slot, rng);
+  }
+  switch (heard) {
+    case Reception::kClear:
+      ++o.clear;
+      break;
+    case Reception::kMessage:
+      ++o.messages;
+      if (o.first_message_slot == kNoSlot) {
+        o.first_message_slot = slot;
+        o.listens_until_first_message = o.listens;
+      }
+      break;
+    case Reception::kNack:
+      ++o.nacks;
+      break;
+    case Reception::kNoise:
+      ++o.noise;
+      break;
   }
 }
 

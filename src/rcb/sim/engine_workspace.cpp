@@ -6,7 +6,6 @@ void EngineWorkspace::begin_trial() {
   arena.reset();
   events.detach();
   send_slots.detach();
-  history.detach();
   mc_history.detach();
   payloads.detach();
 }

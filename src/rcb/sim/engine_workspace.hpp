@@ -78,8 +78,6 @@ struct EngineWorkspace {
   /// One node's send slots (listen/send half-duplex collision filter).
   ArenaVector<SlotIndex> send_slots{arena};
   /// Materialized adversary history (slotwise engine).
-  ArenaVector<SlotActivity> history{arena};
-  /// Materialized adversary history (multi-channel slotwise engine).
   ArenaVector<McSlotActivity> mc_history{arena};
   /// Per-node effective payload for the phase, skew already applied
   /// (parallel array indexed by node).

@@ -14,56 +14,16 @@
 namespace rcb {
 namespace {
 
-// Identical to the single-channel resolve(): reception on one channel of
-// one slot, given that channel's sender count, single-sender payload and
-// jam bit.
-Reception resolve(std::uint32_t sender_count, Payload single_payload,
-                  bool jammed) {
-  if (jammed) return Reception::kNoise;
-  if (sender_count == 0) return Reception::kClear;
-  if (sender_count > 1) return Reception::kNoise;
-  switch (single_payload) {
-    case Payload::kMessage:
-      return Reception::kMessage;
-    case Payload::kNack:
-      return Reception::kNack;
-    case Payload::kNoise:
-      return Reception::kNoise;
-  }
-  return Reception::kNoise;
-}
-
-void record(NodeObservation& o, Reception heard, SlotIndex slot) {
-  switch (heard) {
-    case Reception::kClear:
-      ++o.clear;
-      break;
-    case Reception::kMessage:
-      ++o.messages;
-      if (o.first_message_slot == kNoSlot) {
-        o.first_message_slot = slot;
-        o.listens_until_first_message = o.listens;
-      }
-      break;
-    case Reception::kNack:
-      ++o.nacks;
-      break;
-    case Reception::kNoise:
-      ++o.noise;
-      break;
-  }
-}
-
 // Materializes the history of an accepted jam_run_masks: `sink` covers the
 // eventless run starting at `first_slot`, with each segment's mask already
-// clipped to the valid-channel set by the caller.  Same tail-only
-// optimization as the single-channel append_run_history: a bounded buffer
-// can only ever expose its trailing `window` records, so a run at least
-// that long replaces the buffer with its own tail.
-void append_run_history_mc(ArenaVector<McSlotActivity>& history,
-                           SlotIndex first_slot, const McJamRunSink& sink,
-                           std::uint64_t valid, SlotCount window,
-                           bool bounded) {
+// clipped to the valid-channel set by the caller.  Only the trailing
+// `window` records of a bounded buffer can ever be observed again, so a run
+// at least that long replaces the buffer with just its own tail — this is
+// what makes long eventless runs O(segments) instead of O(slots) for the
+// O(1)-lookback adversaries the fast path exists for.
+void append_run_history(ArenaVector<McSlotActivity>& history,
+                        SlotIndex first_slot, const McJamRunSink& sink,
+                        std::uint64_t valid, SlotCount window, bool bounded) {
   if (window == 0) return;
   const SlotCount len = sink.total();
   if (bounded && len >= window) {
@@ -115,9 +75,12 @@ McSlotwiseResult run_repetition_slotwise_mc(
   McSlotwiseResult result;
   result.rep.obs.resize(actions.size());
 
-  // Presample: identical draw order to the single-channel event engine —
-  // the channel plan only stamps channel bits into the packed keys, it
-  // never touches the Rng stream.
+  // Presample every node's activity into packed event keys: the batch
+  // engine's draw order — the channel plan only stamps channel bits into
+  // the keys, it never touches the Rng stream.  Node action draws are
+  // independent of jamming, so committing them up front leaves the
+  // adversary's adaptivity intact: it still decides each slot knowing
+  // everything it could have physically observed up to that slot.
   EngineWorkspace& ws = engine_workspace();
   const detail::SkipBlockFn skip_block = detail::skip_block_fn();
   ws.events.clear();
@@ -135,6 +98,9 @@ McSlotwiseResult run_repetition_slotwise_mc(
   std::sort(ws.events.begin(), ws.events.end());
   result.event_count = ws.events.size();
 
+  // Per-node effective payload, sender-side clock skew applied (skew is
+  // fixed per phase, so this flat array replaces a FaultPlan query per
+  // sender event).
   ws.payloads.clear();
   ws.payloads.reserve(actions.size());
   for (NodeId u = 0; u < actions.size(); ++u) {
@@ -143,6 +109,11 @@ McSlotwiseResult run_repetition_slotwise_mc(
     ws.payloads.push_back(static_cast<std::uint8_t>(p));
   }
 
+  // History buffer.  When the adversary declares a finite lookback window
+  // only a bounded suffix is kept, compacting amortized-O(1); otherwise
+  // every elapsed slot is materialized (empty slots as zero-sender
+  // records).  A window covering the whole phase is equivalent to
+  // unbounded (and never needs compaction, so 2 * window cannot overflow).
   const SlotCount window = adversary.history_window();
   const bool bounded =
       window != McSlotAdversary::kUnboundedHistory && window < num_slots;
@@ -179,7 +150,7 @@ McSlotwiseResult run_repetition_slotwise_mc(
               static_cast<Cost>(std::popcount(mask)) * seg.length;
           if (mask != 0) result.jammed_slots += seg.length;
         }
-        append_run_history_mc(history, slot, sink, valid, window, bounded);
+        append_run_history(history, slot, sink, valid, window, bounded);
       } else {
         // Declined: per-slot consultation, bit-identical to the every-slot
         // loop this fast path replaced.
@@ -249,16 +220,8 @@ McSlotwiseResult run_repetition_slotwise_mc(
         const NodeId u = event_key::node(keys[j]);
         NodeObservation& o = result.rep.obs[u];
         ++o.listens;
-        Reception heard = resolve(sender_count, single_payload, jammed);
-        if (!cca.perfect()) heard = cca.apply(heard, rng);
-        if (faults != nullptr) {
-          if (faults->node_skewed(u) && (heard == Reception::kMessage ||
-                                         heard == Reception::kNack)) {
-            heard = Reception::kNoise;
-          }
-          heard = faults->degrade(heard, slot, rng);
-        }
-        record(o, heard, slot);
+        engine_kernels::hear(o, u, slot, sender_count, single_payload, jammed,
+                             cca, faults, rng);
       }
       i = ch_end;
     }
@@ -313,9 +276,7 @@ McSlotwiseResult run_repetition_slotwise_mc_dense(
     std::uint64_t sender_channels = 0;
     std::uint32_t senders_total = 0;
     listeners.clear();
-    // Dense reference: two Bernoullis per node per slot, in node order —
-    // the same draw order as the single-channel dense engine, so C=1 with
-    // the equivalent adversary is draw-for-draw identical.
+    // Dense reference: two Bernoullis per node per slot, in node order.
     for (NodeId u = 0; u < actions.size(); ++u) {
       const NodeAction& a = actions[u];
       NodeObservation& o = result.rep.obs[u];
@@ -344,17 +305,8 @@ McSlotwiseResult run_repetition_slotwise_mc_dense(
       const std::uint32_t ch = channels.channel_of(u, slot);
       const std::uint32_t sender_count =
           (sender_channels >> ch & 1) != 0 ? count[ch] : 0;
-      Reception heard =
-          resolve(sender_count, payload[ch], ((mask >> ch) & 1) != 0);
-      if (!cca.perfect()) heard = cca.apply(heard, rng);
-      if (faults != nullptr) {
-        if (faults->node_skewed(u) && (heard == Reception::kMessage ||
-                                       heard == Reception::kNack)) {
-          heard = Reception::kNoise;
-        }
-        heard = faults->degrade(heard, slot, rng);
-      }
-      record(o, heard, slot);
+      engine_kernels::hear(o, u, slot, sender_count, payload[ch],
+                           ((mask >> ch) & 1) != 0, cca, faults, rng);
     }
 
     history.push_back(

@@ -9,25 +9,6 @@
 #include "rcb/sim/engine_workspace.hpp"
 
 namespace rcb {
-namespace {
-
-Reception resolve(std::uint32_t sender_count, Payload single_payload,
-                  bool jammed) {
-  if (jammed) return Reception::kNoise;
-  if (sender_count == 0) return Reception::kClear;
-  if (sender_count > 1) return Reception::kNoise;
-  switch (single_payload) {
-    case Payload::kMessage:
-      return Reception::kMessage;
-    case Payload::kNack:
-      return Reception::kNack;
-    case Payload::kNoise:
-      return Reception::kNoise;
-  }
-  return Reception::kNoise;
-}
-
-}  // namespace
 
 RepetitionResult run_repetition_luniform(
     SlotCount num_slots, std::span<const NodeAction> actions,
@@ -113,35 +94,8 @@ RepetitionResult run_repetition_luniform(
       ++listener_count;
       const bool jammed = schedules[partition[u]].is_jammed(slot);
       any_jam_seen = any_jam_seen || jammed;
-      Reception heard = resolve(sender_count, single_payload, jammed);
-      if (!cca.perfect()) heard = cca.apply(heard, rng);
-      if (faults != nullptr) {
-        // A skewed listener samples the channel off the slot grid: it can
-        // still detect energy but cannot decode a payload.
-        if (faults->node_skewed(u) && (heard == Reception::kMessage ||
-                                       heard == Reception::kNack)) {
-          heard = Reception::kNoise;
-        }
-        heard = faults->degrade(heard, slot, rng);
-      }
-      switch (heard) {
-        case Reception::kClear:
-          ++o.clear;
-          break;
-        case Reception::kMessage:
-          ++o.messages;
-          if (o.first_message_slot == kNoSlot) {
-            o.first_message_slot = slot;
-            o.listens_until_first_message = o.listens;
-          }
-          break;
-        case Reception::kNack:
-          ++o.nacks;
-          break;
-        case Reception::kNoise:
-          ++o.noise;
-          break;
-      }
+      engine_kernels::hear(o, u, slot, sender_count, single_payload, jammed,
+                           cca, faults, rng);
     }
     if (trace != nullptr) {
       trace->record(slot, sender_count, listener_count, any_jam_seen);

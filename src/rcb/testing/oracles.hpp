@@ -13,9 +13,13 @@
 //                    appear when their causes (battery / crash faults) are
 //                    configured; at engine level, every NodeObservation
 //                    satisfies sends + listens <= slots and
-//                    clear + messages + nacks + noise == listens.
+//                    clear + messages + nacks + noise == listens, and the
+//                    engine's (slot, channel) jam charges equal the
+//                    committed schedules'.
 //   "crosscheck"   — event-driven vs dense slotwise engine on an action
-//                    profile derived from the scenario: exact equality on
+//                    profile derived from the scenario, run at the
+//                    scenario's channel count (C=1 for every
+//                    single-channel protocol): exact equality on
 //                    randomness-free profiles, a Bonferroni-corrected
 //                    Mann-Whitney gate (stats/rank_test.hpp) otherwise.
 //   "metamorphic"  — monotonicity relations the theory implies: larger eps

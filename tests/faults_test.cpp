@@ -5,13 +5,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "rcb/adversary/mc_strategies.hpp"
 #include "rcb/protocols/broadcast_engine.hpp"
 #include "rcb/protocols/broadcast_n.hpp"
 #include "rcb/protocols/one_to_one.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/sim/faults.hpp"
+#include "rcb/sim/mc_slot_engine.hpp"
 #include "rcb/sim/repetition_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
@@ -219,6 +220,30 @@ TEST(FaultEngineTest, BatchAndSlotwiseSeeTheSameDownNodes) {
       ASSERT_EQ(a.node_down(u, t), b.node_down(u, t));
     }
   }
+
+  // Both engines presample through the same kernel and drop a down node's
+  // events after sampling, so on one Rng stream the batch engine and the
+  // slotwise engine at one channel charge every node the same energy.
+  const std::vector<NodeAction> actions = {
+      NodeAction{0.3, Payload::kMessage, 0.3},
+      NodeAction{0.1, Payload::kNoise, 0.6},
+      NodeAction{0.0, Payload::kNoise, 0.9},
+      NodeAction{0.2, Payload::kNoise, 0.2},
+  };
+  FaultPlan batch_plan(cfg), slotwise_plan(cfg);
+  Rng batch_rng(23), slotwise_rng(23);
+  const auto batch = run_repetition(512, actions, JamSchedule::none(),
+                                    batch_rng, nullptr, CcaModel{},
+                                    &batch_plan);
+  McNoJam adv;
+  const auto slotwise =
+      run_repetition_slotwise_mc(512, actions, ChannelPlan{1, {}}, adv,
+                                 slotwise_rng, CcaModel{}, &slotwise_plan);
+  for (std::size_t u = 0; u < actions.size(); ++u) {
+    EXPECT_EQ(batch.obs[u].sends, slotwise.rep.obs[u].sends) << "node " << u;
+    EXPECT_EQ(batch.obs[u].listens, slotwise.rep.obs[u].listens)
+        << "node " << u;
+  }
 }
 
 TEST(FaultEngineTest, RepetitionEngineIsDeterministicUnderFaults) {
@@ -267,18 +292,12 @@ TEST(FaultEngineTest, SlotwiseEngineIsDeterministicUnderFaults) {
       NodeAction{0.0, Payload::kNoise, 1.0},
   };
 
-  class NoJam final : public SlotAdversary {
-   public:
-    bool jam(SlotIndex, std::span<const SlotActivity>) override {
-      return false;
-    }
-  };
-
   auto run_once = [&]() {
     FaultPlan plan(cfg);
-    NoJam adv;
+    McNoJam adv;
     Rng rng(78);
-    return run_repetition_slotwise(256, actions, adv, rng, CcaModel{}, &plan);
+    return run_repetition_slotwise_mc(256, actions, ChannelPlan{1, {}}, adv,
+                                      rng, CcaModel{}, &plan);
   };
   const auto r1 = run_once();
   const auto r2 = run_once();

@@ -1,8 +1,9 @@
-// Tests for the multi-channel slotwise engines (sim/mc_slot_engine.hpp):
-// the C=1 bit-exact degeneration against the single-channel engines, the
-// event-vs-dense mc crosscheck, per-channel budget accounting, and the
-// multi-channel edge cases (C > n, everyone on one channel, a jammer
-// spending its budget on an empty channel).
+// Tests for the slotwise engines (sim/mc_slot_engine.hpp) over several
+// channels: the event-vs-dense crosscheck, per-channel budget accounting,
+// the bulk jam_run_masks contract, and the multi-channel edge cases (C > n,
+// everyone on one channel, a jammer spending its budget on an empty
+// channel).  The single-channel model (C=1) is covered by
+// slot_engine_test.cpp and pinned by mc_degeneration_test.cpp.
 #include "rcb/sim/mc_slot_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -14,41 +15,9 @@
 #include "rcb/rng/rng.hpp"
 #include "rcb/sim/channel_plan.hpp"
 #include "rcb/sim/jam_schedule.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
-
-/// Replays a fixed schedule (deterministic, with a bulk jam_run path).
-class FixedSchedule final : public SlotAdversary {
- public:
-  explicit FixedSchedule(const JamSchedule& js) : js_(&js) {}
-  bool jam(SlotIndex slot, std::span<const SlotActivity>) override {
-    return js_->is_jammed(slot);
-  }
-  bool jam_run(SlotIndex begin, SlotIndex end, std::span<const SlotActivity>,
-               JamRunSink& sink) override {
-    for (SlotIndex s = begin; s < end; ++s) {
-      if (!sink.append(1, js_->is_jammed(s))) return false;
-    }
-    return true;
-  }
-  SlotCount history_window() const override { return 0; }
-
- private:
-  const JamSchedule* js_;
-};
-
-/// Reactive with a 1-slot lookback — exercises the history translation in
-/// McFromSlotAdversary (the mc engines must feed it the same per-slot
-/// records the single-channel engines would).
-class Reactive final : public SlotAdversary {
- public:
-  bool jam(SlotIndex, std::span<const SlotActivity> history) override {
-    return !history.empty() && history.back().senders > 0;
-  }
-  SlotCount history_window() const override { return 1; }
-};
 
 bool obs_equal(const NodeObservation& a, const NodeObservation& b) {
   return a.sends == b.sends && a.listens == b.listens && a.clear == b.clear &&
@@ -62,82 +31,6 @@ std::vector<NodeAction> mixed_actions() {
           NodeAction{0.1, Payload::kNoise, 0.7},
           NodeAction{0.0, Payload::kNoise, 0.9},
           NodeAction{0.2, Payload::kNack, 0.3}};
-}
-
-// ---------------------------------------------------------------------------
-// C=1 degeneration: byte-identical to the single-channel engines on the
-// same Rng stream — including under CCA drift, faults, and a reactive
-// (history-consuming) adversary.
-
-void expect_c1_degenerates(const CcaModel& cca, bool with_faults,
-                           bool reactive, std::uint64_t seed) {
-  const SlotCount slots = 512;
-  const auto actions = mixed_actions();
-  const JamSchedule jam = JamSchedule::blocking_fraction(slots, 0.4);
-  FaultConfig fcfg;
-  if (with_faults) {
-    fcfg.seed = 99;
-    fcfg.crash_rate = 0.001;
-    fcfg.restart_rate = 0.01;
-    fcfg.loss_rate = 0.2;
-    fcfg.corruption_rate = 0.1;
-    fcfg.clock_skew_rate = 0.1;
-  }
-  const ChannelPlan single{1, {}};
-
-  for (const bool dense : {false, true}) {
-    FaultPlan faults_sc(fcfg);
-    FaultPlan* fp_sc = faults_sc.active() ? &faults_sc : nullptr;
-    FixedSchedule sched_sc(jam);
-    Reactive react_sc;
-    SlotAdversary& adv_sc =
-        reactive ? static_cast<SlotAdversary&>(react_sc) : sched_sc;
-    Rng rng_sc = Rng::stream(seed, 1);
-    const SlotwiseResult sc =
-        dense ? run_repetition_slotwise_dense(slots, actions, adv_sc, rng_sc,
-                                              cca, fp_sc)
-              : run_repetition_slotwise(slots, actions, adv_sc, rng_sc, cca,
-                                        fp_sc);
-
-    FaultPlan faults_mc(fcfg);
-    FaultPlan* fp_mc = faults_mc.active() ? &faults_mc : nullptr;
-    FixedSchedule sched_mc(jam);
-    Reactive react_mc;
-    SlotAdversary& inner =
-        reactive ? static_cast<SlotAdversary&>(react_mc) : sched_mc;
-    McFromSlotAdversary adv_mc(inner);
-    Rng rng_mc = Rng::stream(seed, 1);
-    const McSlotwiseResult mc =
-        dense ? run_repetition_slotwise_mc_dense(slots, actions, single,
-                                                 adv_mc, rng_mc, cca, fp_mc)
-              : run_repetition_slotwise_mc(slots, actions, single, adv_mc,
-                                           rng_mc, cca, fp_mc);
-
-    EXPECT_EQ(mc.jammed_slots, sc.jammed_slots) << "dense=" << dense;
-    EXPECT_EQ(mc.jam_charges, static_cast<Cost>(sc.jammed_slots))
-        << "dense=" << dense;
-    ASSERT_EQ(mc.rep.obs.size(), sc.rep.obs.size());
-    for (std::size_t u = 0; u < actions.size(); ++u) {
-      EXPECT_TRUE(obs_equal(sc.rep.obs[u], mc.rep.obs[u]))
-          << "dense=" << dense << " node " << u;
-    }
-  }
-}
-
-TEST(McDegenerationTest, C1MatchesSingleChannelExactly) {
-  expect_c1_degenerates(CcaModel{}, false, false, 101);
-}
-
-TEST(McDegenerationTest, C1MatchesUnderCcaDrift) {
-  expect_c1_degenerates(CcaModel{0.1, 0.05}, false, false, 202);
-}
-
-TEST(McDegenerationTest, C1MatchesUnderFaults) {
-  expect_c1_degenerates(CcaModel{0.05, 0.05}, true, false, 303);
-}
-
-TEST(McDegenerationTest, C1MatchesWithReactiveAdversaryHistory) {
-  expect_c1_degenerates(CcaModel{}, false, true, 404);
 }
 
 // ---------------------------------------------------------------------------

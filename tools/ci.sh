@@ -16,10 +16,11 @@
 # fixed-seed scenario sweep (~200 cases; 1000 with --full).  The generated
 # scenario space includes the multi-channel axis (mc_broadcast with C
 # weighted toward {1, 2, 4}), so every config exercises the per-channel
-# budget ledger, the mc engine crosscheck, and the C=1 degeneration
-# differential oracle.  Any oracle violation fails CI and the minimized
-# scenario + RCB_REPRO record paths are printed for local replay with
-# rcb_replay --verify.
+# budget ledger and the slotwise engine crosscheck at C=1 and above (the
+# C=1 case's bit-identity with the paper's single-channel model is pinned
+# by literals in tests/mc_degeneration_test.cpp).  Any oracle violation
+# fails CI and the minimized scenario + RCB_REPRO record paths are printed
+# for local replay with rcb_replay --verify.
 #
 # The bench step runs bench_m1_micro with a short --benchmark_min_time and
 # bench_m2_engine_scaling (default grid), writes build/BENCH_m{1,2}.json,

@@ -8,8 +8,9 @@
 // Samples `cases` scenarios from the full scenario space (every protocol,
 // every adversary, faults on/off, CCA drift, battery mode) and runs each
 // through the oracle set: digest determinism, energy-ledger conservation
-// and adversary budget accounting, event-driven vs dense-slotwise engine
-// crosscheck, and metamorphic monotonicity.  A violation is delta-debugged
+// and adversary budget accounting, event-driven vs dense slotwise engine
+// crosscheck at the scenario's channel count (C=1 included), and
+// metamorphic monotonicity.  A violation is delta-debugged
 // to a minimal failing case and emitted as a replayable scenario JSON plus
 // an RCB_REPRO record for `rcb_replay --verify`.
 //
