@@ -146,7 +146,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 struct BroadcastConfig {
-  std::uint32_t n;
+  // 64-bit so the struct has no padding: the test names print the value's
+  // raw bytes, and padding bytes would make them differ from run to run.
+  std::uint64_t n;
   double q;
   Cost budget;
   std::uint64_t seed;
@@ -160,7 +162,8 @@ TEST_P(BroadcastPropertyTest, InvariantsHold) {
   const BroadcastNParams params = BroadcastNParams::sim();
   SuffixBlockerAdversary adv(Budget(cfg.budget), cfg.q);
   Rng rng(cfg.seed);
-  const auto r = run_broadcast_n(cfg.n, params, adv, rng);
+  const auto r =
+      run_broadcast_n(static_cast<std::uint32_t>(cfg.n), params, adv, rng);
 
   EXPECT_EQ(r.adversary_cost, adv.budget().spent());
   EXPECT_GE(r.informed_count, 1u);
