@@ -10,6 +10,7 @@
 // against bench/baselines/BENCH_m1_baseline.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -20,6 +21,8 @@
 #include "rcb/rng/rng.hpp"
 #include "rcb/rng/sampling.hpp"
 #include "rcb/runtime/thread_pool.hpp"
+#include "rcb/sim/engine_kernels.hpp"
+#include "rcb/sim/engine_workspace.hpp"
 #include "rcb/sim/repetition_engine.hpp"
 #include "rcb/sim/mc_slot_engine.hpp"
 
@@ -163,6 +166,47 @@ void BM_SlotwiseEngineDense(benchmark::State& state) {
   set_engine_counters(state, slots, events);
 }
 BENCHMARK(BM_SlotwiseEngineDense)->Range(1 << 10, 1 << 16);
+
+void BM_SortEventKeys(benchmark::State& state) {
+  // The batch engine's key sort on its own: std::sort (arg 1 = 0) against
+  // engine_kernels::sort_event_keys (arg 1 = 1) on one BroadcastN-like
+  // phase (n=128, T=2^17, every node sending and listening with the same
+  // small probability) presampled to about range(0) keys in node order, as
+  // the engines hand them over.  Each iteration restores the unsorted keys
+  // first; that copy is timed in both variants.
+  const auto target = static_cast<double>(state.range(0));
+  const bool radix = state.range(1) != 0;
+  const SlotCount slots = SlotCount{1} << 17;
+  const double p = target / (2.0 * 128.0 * static_cast<double>(slots));
+  const std::vector<NodeAction> actions(128,
+                                        NodeAction{p, Payload::kMessage, p});
+  EngineWorkspace ws;
+  Rng rng(7);
+  const detail::SkipBlockFn skip_block = detail::skip_block_fn();
+  for (NodeId u = 0; u < actions.size(); ++u) {
+    engine_kernels::presample_node_events(u, actions[u], slots, rng, ws,
+                                          nullptr, skip_block);
+  }
+  const std::vector<std::uint64_t> unsorted(
+      ws.events.data(), ws.events.data() + ws.events.size());
+  std::vector<std::uint64_t> keys(unsorted.size());
+  for (auto _ : state) {
+    std::copy(unsorted.begin(), unsorted.end(), keys.begin());
+    if (radix) {
+      engine_kernels::sort_event_keys(keys, ws);
+    } else {
+      std::sort(keys.begin(), keys.end());
+    }
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["keys"] = static_cast<double>(keys.size());
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(keys.size()) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SortEventKeys)
+    ->ArgsProduct({{512, 4096, 22528, 131072, 1048576}, {0, 1}});
 
 void BM_ThreadPoolDispatch(benchmark::State& state) {
   // Pure dispatch overhead: 1024 single-iteration chunks whose bodies do

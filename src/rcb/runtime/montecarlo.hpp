@@ -2,9 +2,10 @@
 //
 // Each trial gets an independent, deterministically derived RNG stream, so
 // results are bit-identical regardless of thread count or scheduling.
-// run_trials may be called from inside a pool task: it blocks on a
-// completion latch and the blocked thread helps execute pool work, so
-// nested use cannot deadlock (see thread_pool.hpp).
+// Trials run on the pool's workers only, so a pool of k threads keeps k
+// threads busy.  run_trials may be called from inside a pool task: it
+// blocks on a completion latch and a blocked worker helps execute pool
+// work, so nested use cannot deadlock (see thread_pool.hpp).
 #pragma once
 
 #include <atomic>

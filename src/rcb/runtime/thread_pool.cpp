@@ -170,12 +170,24 @@ void ThreadPool::Latch::wait_briefly() {
                [this] { return done(); });
 }
 
+void ThreadPool::Latch::wait() {
+  // done() is read under the mutex that count_down holds across its
+  // decrement and notify, so returning here implies sync().
+  std::unique_lock lock(mutex_);
+  cv_.wait(lock, [this] { return done(); });
+}
+
 void ThreadPool::Latch::sync() { std::unique_lock lock(mutex_); }
 
 void ThreadPool::help_until(Latch& latch) {
-  const std::size_t self = (t_pool == this) ? t_worker_index : kExternalThread;
+  if (t_pool != this) {
+    // Not one of our workers: the workers run every task, so waiting
+    // cannot deadlock, and the pool's size stays its busy-thread count.
+    latch.wait();
+    return;
+  }
   while (!latch.done()) {
-    Task task = try_acquire(self);
+    Task task = try_acquire(t_worker_index);
     if (task) {
       execute(task);
     } else {
@@ -202,7 +214,12 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
   }
   const std::size_t num_chunks = (total + chunk_size - 1) / chunk_size;
   ThreadPool::Latch latch(num_chunks);
-  for (std::size_t lo = begin; lo < end; lo += chunk_size) {
+  // Last chunk first: a worker pops its own deque newest-first, so the
+  // chunks then start in ascending order (thieves take the highest).  A
+  // failing early trial of run_trials is thus met early, and the chunks
+  // behind it are abandoned instead of run.
+  for (std::size_t c = num_chunks; c-- > 0;) {
+    const std::size_t lo = begin + c * chunk_size;
     const std::size_t hi = std::min(end, lo + chunk_size);
     // 4 pointers — fits Task's inline storage, so no allocation per chunk.
     pool.submit([lo, hi, &fn, &latch] {

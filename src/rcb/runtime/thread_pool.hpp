@@ -12,12 +12,13 @@
 // rest of the pool while work remains anywhere.  External submissions are
 // distributed round-robin across the deques.
 //
-// parallel_for / parallel_for_chunks block until their chunks finish, but
-// the calling thread *helps*: it executes pool tasks while it waits.
-// That makes nested parallelism safe — a chunk may itself call
-// parallel_for on the same pool without deadlocking — and keeps the
-// caller productive instead of parked.  (wait_idle() does not help; do
-// not call it from inside a pool task.)
+// parallel_for / parallel_for_chunks block until their chunks finish.  A
+// caller that is itself a worker of the pool *helps*: it executes pool
+// tasks while it waits.  That makes nested parallelism safe — a chunk may
+// itself call parallel_for on the same pool without deadlocking, even on
+// a one-thread pool.  Any other caller only waits, so a pool of k threads
+// keeps exactly k threads busy.  (wait_idle() does not help; do not call
+// it from inside a pool task.)
 //
 // Tasks must not throw: an exception escaping a task terminates the
 // process, exactly as it would have escaping a worker thread.  Catch at
@@ -159,6 +160,8 @@ class ThreadPool {
     /// queues between waits, so a missed task wakeup only costs one poll
     /// interval, never a hang).
     void wait_briefly();
+    /// Blocks until done(); returns with the same guarantee as sync().
+    void wait();
     /// Called by the final waiter after done(): acquires and releases the
     /// internal mutex, so the last count_down's critical section
     /// (decrement + notify, both under the mutex) has fully completed and
@@ -173,8 +176,8 @@ class ThreadPool {
     std::condition_variable cv_;
   };
 
-  /// Runs pool tasks on the calling thread until `latch.done()`.  Safe
-  /// from both worker threads (nested parallelism) and external threads.
+  /// Blocks until `latch.done()`.  A worker of this pool runs pool tasks
+  /// meanwhile (nested parallelism); any other thread only waits.
   void help_until(Latch& latch);
 
  private:
@@ -205,8 +208,8 @@ class ThreadPool {
 /// Iterations are distributed in contiguous chunks.  `chunk_hint` overrides
 /// the chunk size (0 = auto: ~4 chunks per worker); use it to trade
 /// scheduling overhead against load balance for very cheap or very uneven
-/// iterations.  The calling thread helps execute chunks, so nested calls
-/// on the same pool are safe.
+/// iterations.  Only the pool's workers run chunks; a worker that calls in
+/// helps while it waits, so nested calls on the same pool are safe.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t chunk_hint = 0);

@@ -1,14 +1,16 @@
 // Hot inner kernels shared by the channel engines, with AVX2 variants.
 //
-// Every kernel here is dispatched on simd::active_mode() and the AVX2
+// Every SIMD kernel here is dispatched on simd::active_mode() and the AVX2
 // variants are bit-identical to the scalar ones (they produce the same
-// bytes; the simulation's RNG stream is untouched).  The presample helper
-// ties the geometric-skip block sampler to the packed event-key layout of
-// EngineWorkspace, so both engines share one schedule-generation path.
+// bytes; the simulation's RNG stream is untouched).  The presample helpers
+// tie the geometric-skip block sampler to the packed event-key layout of
+// EngineWorkspace and sort the keys, so both engines share one
+// schedule-generation path.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "rcb/adversary/slot_adversary.hpp"
 #include "rcb/common/types.hpp"
@@ -25,6 +27,22 @@ namespace rcb::engine_kernels {
 /// event-group and sender/listener boundary resolution over packed keys.
 std::size_t count_keys_below(const std::uint64_t* keys, std::size_t count,
                              std::uint64_t bound);
+
+/// Below this many keys sort_event_keys is std::sort: the radix passes'
+/// fixed cost of 2048 buckets per pass does not pay off.  Measured on
+/// presampled BroadcastN and duel phases, std::sort and the LSD passes
+/// break even between 1.5K and 2K keys.
+inline constexpr std::size_t kSortCrossover = 2048;
+
+/// Sorts packed event keys ascending, in O(count * passes) time with at most
+/// EngineWorkspace::kSortScratchKeys keys of extra memory (ws.sort_scratch()).
+/// Below the crossover it is std::sort; up to the scratch size, LSD radix
+/// passes over 11-bit digits, one per window of the bits in which the keys
+/// differ; above it, one in-place American-flag pass on the top differing
+/// bits, then each bucket is sorted the same way.  Allocates nothing after
+/// the scratch's first use.  Equal keys are equal bytes, so the result is
+/// byte-identical to std::sort's whatever the input order.
+void sort_event_keys(std::span<std::uint64_t> keys, EngineWorkspace& ws);
 
 /// Writes `len` zero-sender history records with consecutive slots
 /// [first_slot, first_slot + len) and one jam mask into `dst`.
@@ -142,5 +160,15 @@ inline void presample_node_events(NodeId u, const NodeAction& action,
         ws.events.push_back(event_key::pack(s, ch, true, u));
       });
 }
+
+/// Presamples one phase for the event engines: every node's events into
+/// ws.events (presample_node_events for each node in order, which fixes
+/// the Rng stream), sorted by sort_event_keys, and each node's
+/// effective payload into ws.payloads, with sender-side clock skew applied
+/// (skew is fixed per phase, so this flat array replaces a FaultPlan query
+/// per sender event).
+void presample_phase(SlotCount num_slots, std::span<const NodeAction> actions,
+                     Rng& rng, EngineWorkspace& ws, FaultPlan* faults,
+                     const ChannelPlan* channels = nullptr);
 
 }  // namespace rcb::engine_kernels

@@ -10,6 +10,14 @@ void EngineWorkspace::begin_trial() {
   payloads.detach();
 }
 
+std::uint64_t* EngineWorkspace::sort_scratch() {
+  if (!sort_scratch_) {
+    sort_scratch_ = std::make_unique_for_overwrite<std::uint64_t[]>(
+        kSortScratchKeys);
+  }
+  return sort_scratch_.get();
+}
+
 EngineWorkspace& engine_workspace() {
   thread_local EngineWorkspace workspace;
   return workspace;

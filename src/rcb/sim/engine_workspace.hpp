@@ -17,7 +17,9 @@
 // phase needs more than any phase before it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "rcb/adversary/slot_adversary.hpp"
 #include "rcb/common/arena.hpp"
@@ -83,8 +85,19 @@ struct EngineWorkspace {
   /// (parallel array indexed by node).
   ArenaVector<std::uint8_t> payloads{arena};
 
+  /// Key capacity of the radix-sort scratch (512 KiB): the largest run of
+  /// keys engine_kernels::sort_event_keys sorts by LSD passes.
+  static constexpr std::size_t kSortScratchKeys = std::size_t{1} << 16;
+  /// That scratch, allocated on first use and kept for the thread's life.
+  /// It lives outside the arena: its size is fixed, so a trial boundary has
+  /// nothing to rewind, and RSS grows only by the pages a sort touches.
+  std::uint64_t* sort_scratch();
+
   /// Resets the arena and detaches every buffer.
   void begin_trial();
+
+ private:
+  std::unique_ptr<std::uint64_t[]> sort_scratch_;
 };
 
 /// This thread's workspace (created on first use).

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "rcb/common/contracts.hpp"
-#include "rcb/rng/sampling.hpp"
 #include "rcb/runtime/cancel.hpp"
 #include "rcb/sim/engine_kernels.hpp"
 #include "rcb/sim/engine_workspace.hpp"
@@ -82,32 +81,9 @@ McSlotwiseResult run_repetition_slotwise_mc(
   // adversary's adaptivity intact: it still decides each slot knowing
   // everything it could have physically observed up to that slot.
   EngineWorkspace& ws = engine_workspace();
-  const detail::SkipBlockFn skip_block = detail::skip_block_fn();
-  ws.events.clear();
-  double expected_rate = 0.0;
-  for (const NodeAction& a : actions) {
-    expected_rate += a.send_prob + a.listen_prob;
-  }
-  ws.events.reserve(static_cast<std::size_t>(
-                        expected_rate * static_cast<double>(num_slots)) +
-                    16);
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    engine_kernels::presample_node_events(u, actions[u], num_slots, rng, ws,
-                                          faults, skip_block, &channels);
-  }
-  std::sort(ws.events.begin(), ws.events.end());
+  engine_kernels::presample_phase(num_slots, actions, rng, ws, faults,
+                                  &channels);
   result.event_count = ws.events.size();
-
-  // Per-node effective payload, sender-side clock skew applied (skew is
-  // fixed per phase, so this flat array replaces a FaultPlan query per
-  // sender event).
-  ws.payloads.clear();
-  ws.payloads.reserve(actions.size());
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    Payload p = actions[u].payload;
-    if (faults != nullptr && faults->node_skewed(u)) p = Payload::kNoise;
-    ws.payloads.push_back(static_cast<std::uint8_t>(p));
-  }
 
   // History buffer.  When the adversary declares a finite lookback window
   // only a bounded suffix is kept, compacting amortized-O(1); otherwise

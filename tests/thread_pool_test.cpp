@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <stdexcept>
 #include <string>
@@ -290,6 +292,49 @@ TEST(MonteCarloTest, RemainingTrialsAbandonedAfterFailure) {
                    pool, 1),
                TrialFailure);
   EXPECT_LT(executed.load(), 10000);
+}
+
+TEST(MonteCarloTest, TrialsRunOnThePoolThreadsOnly) {
+  // A pool of k threads is k busy threads: the calling thread waits and
+  // never runs a trial, so at most k distinct threads execute them.  The
+  // per-trial sleep gives every thread time to pick up work.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool(threads);
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    const auto results = run_trials<int>(
+        48, 5,
+        [&](std::size_t t, Rng&) {
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          return static_cast<int>(t);
+        },
+        pool, 1);
+    EXPECT_EQ(results.size(), 48u);
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), threads) << "threads=" << threads;
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u)
+        << "the calling thread ran a trial; threads=" << threads;
+  }
+}
+
+TEST(MonteCarloTest, NestedRunTrialsOnOneThreadPoolCompletes) {
+  // run_trials from inside a trial of the same one-thread pool: the only
+  // worker is the blocked caller, so it must help or deadlock.
+  ThreadPool pool(1);
+  const auto outer = run_trials<int>(
+      4, 6,
+      [&](std::size_t, Rng&) {
+        const auto inner = run_trials<int>(
+            8, 7, [](std::size_t t, Rng&) { return static_cast<int>(t); },
+            pool, 1);
+        return std::accumulate(inner.begin(), inner.end(), 0);
+      },
+      pool, 1);
+  for (int sum : outer) EXPECT_EQ(sum, 28);
 }
 
 }  // namespace

@@ -440,7 +440,7 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
     echo "=== [perf] build engine crosscheck suite ==="
     perf_tests=(engine_crosscheck_test sampling_simd_test arena_test
                 slot_engine_test sampling_test determinism_test
-                mc_engine_test mc_degeneration_test)
+                mc_engine_test mc_degeneration_test sort_event_keys_test)
     cmake --build "$repo/build-perf" -j "$jobs" --target "${perf_tests[@]}"
     echo "=== [perf] run engine crosscheck suite ==="
     for t in "${perf_tests[@]}"; do
